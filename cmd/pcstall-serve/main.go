@@ -142,6 +142,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The drain handler is installed before the server can announce
+	// readiness: a SIGTERM sent the moment the address is printed must
+	// drain, not kill the process with Go's default signal action.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pcstall-serve: listen %s: %v\n", *addr, err)
@@ -165,8 +171,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "pcstall-serve: %v\n", err)

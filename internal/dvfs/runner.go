@@ -187,6 +187,11 @@ func Run(g *sim.GPU, pol Policy, cfg RunConfig) (Result, error) {
 		hp.bindTelemetry(cfg.Metrics)
 	}
 
+	// The run counts as one simulating goroutine for its whole length, so
+	// oracle forks (its own and other runs') fan out only onto cores no
+	// run is using.
+	oracle.Occupy()
+	defer oracle.Vacate()
 	var sampler *oracle.Sampler
 	if pol.Truth() != NoTruth {
 		sampler = &oracle.Sampler{
@@ -252,7 +257,7 @@ func Run(g *sim.GPU, pol Policy, cfg RunConfig) (Result, error) {
 			}
 		}
 		if sampler != nil {
-			ctx.NextTruth = sampler.SampleNext(g, cfg.Epoch)
+			ctx.NextTruth = sampler.SampleNextOccupied(g, cfg.Epoch)
 		}
 		ctx.PrevTruth = prevTruth
 		// Policies observe the elapsed epoch through the fault injector;

@@ -107,4 +107,10 @@ func TestTelemetryPopulated(t *testing.T) {
 	if os.Counters["oracle_preexec_ps_total"] <= 0 {
 		t.Fatal("ORACLE run recorded no pre-execute time")
 	}
+	// Whether any fork ran on a helper depends on idle cores; the counter
+	// must be exported either way, and can never exceed the forks.
+	helpers, ok := os.Counters["oracle_fork_helpers_total"]
+	if !ok || helpers > os.Counters["oracle_forks_total"] {
+		t.Fatalf("oracle_fork_helpers_total = %d (exported %v), forks %d", helpers, ok, os.Counters["oracle_forks_total"])
+	}
 }

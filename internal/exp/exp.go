@@ -549,8 +549,12 @@ func (s *Suite) trace(app string, epoch clock.Time, nEpochs int, withWF bool) *t
 	smp := &oracle.Sampler{Grid: grid, PM: &s.PM}
 	tr := &trace{epoch: epoch}
 	const keepCurves = 8
+	// Like a dvfs.Run, the trace counts as simulating for its whole loop
+	// (the parent's epochs too), not only inside SampleNext.
+	oracle.Occupy()
+	defer oracle.Vacate()
 	for e := 0; e < nEpochs && !g.Finished && g.Stuck == nil && g.Now < s.Cfg.MaxTime; e++ {
-		truth := smp.SampleNext(g, epoch)
+		truth := smp.SampleNextOccupied(g, epoch)
 		nd := len(truth.I)
 		sens := make([]float64, nd)
 		r2 := make([]float64, nd)

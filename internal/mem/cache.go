@@ -18,31 +18,47 @@ import (
 	"sync/atomic"
 )
 
-// entPools recycles privatized tag arrays, keyed by length. Fork-heavy
-// users (the oracle samples ten clones per epoch, each privatizing the
-// banks it touches) would otherwise churn megabytes of garbage per epoch;
-// Release feeds arrays whose refcount hits zero back to own.
-var entPools sync.Map // int → *sync.Pool of *[]uint64
+// tagBuf is one tag array together with the refcount of the Cache values
+// sharing it. Pooling the pair as a unit keeps the fork hot path off the
+// allocator: privatizing reuses both the array and its counter, and
+// recycling puts back a pointer (no slice header to box).
+type tagBuf struct {
+	ref atomic.Int32
+	ent []uint64
+}
 
-func entPoolFor(n int) *sync.Pool {
-	if p, ok := entPools.Load(n); ok {
+// tagPools recycles privatized tag buffers, keyed by array length.
+// Fork-heavy users (the oracle samples ten clones per epoch, each
+// privatizing the banks it touches) would otherwise churn megabytes of
+// garbage per epoch; a buffer whose refcount hits zero goes back to its
+// pool and the next privatization takes it from there.
+var tagPools sync.Map // int → *sync.Pool of *tagBuf
+
+func tagPoolFor(n int) *sync.Pool {
+	if p, ok := tagPools.Load(n); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := entPools.LoadOrStore(n, &sync.Pool{})
+	p, _ := tagPools.LoadOrStore(n, &sync.Pool{})
 	return p.(*sync.Pool)
 }
 
-// getEnt returns an arbitrary-content array of length n; callers must
-// fully overwrite it.
-func getEnt(n int) []uint64 {
-	if v := entPoolFor(n).Get(); v != nil {
-		return *v.(*[]uint64)
+// newTagBuf returns a buffer of length n held by one owner. Its contents
+// are arbitrary (it may come from the pool), so callers must overwrite
+// it fully.
+func newTagBuf(pool *sync.Pool, n int) *tagBuf {
+	b, _ := pool.Get().(*tagBuf)
+	if b == nil {
+		b = &tagBuf{ent: make([]uint64, n)}
 	}
-	return make([]uint64, n)
+	b.ref.Store(1)
+	return b
 }
 
-func putEnt(ent []uint64) {
-	entPoolFor(len(ent)).Put(&ent)
+// drop gives up one share of b, recycling it when it was the last.
+func (b *tagBuf) drop(pool *sync.Pool) {
+	if b.ref.Add(-1) == 0 {
+		pool.Put(b)
+	}
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It models
@@ -68,14 +84,15 @@ type Cache struct {
 	setMask uint32
 	tick    uint64
 	// ent holds sets*ways packed ways: bits [31:0] are the tag (0 =
-	// invalid, otherwise lineAddr+1), bits [63:32] the LRU stamp.
+	// invalid, otherwise lineAddr+1), bits [63:32] the LRU stamp. It is
+	// buf.ent, cached here so lookups skip one indirection.
 	ent []uint64
-	// ref counts the Cache values sharing ent. Mutators call own, which
-	// privatizes the array while ref > 1. A conservative overshoot (two
-	// sharers privatizing simultaneously) costs one extra copy, never
-	// correctness.
-	ref *atomic.Int32
-	// pool is the recycler for arrays of len(ent), resolved once at
+	// buf owns ent and counts the Cache values sharing it. Mutators call
+	// own, which privatizes the array while the count is above one. A
+	// conservative overshoot (two sharers privatizing simultaneously)
+	// costs one extra copy, never correctness.
+	buf *tagBuf
+	// pool is the recycler for buffers of len(ent), resolved once at
 	// construction so the privatize/release hot path never touches the
 	// global sync.Map.
 	pool *sync.Pool
@@ -109,14 +126,14 @@ func NewCache(sets, ways, lineBytes int) (Cache, error) {
 		sets:      uint32(sets),
 		ways:      uint32(ways),
 		lineShift: shift,
-		ent:       make([]uint64, sets*ways),
-		ref:       new(atomic.Int32),
-		pool:      entPoolFor(sets * ways),
+		buf:       &tagBuf{ent: make([]uint64, sets*ways)},
+		pool:      tagPoolFor(sets * ways),
 	}
+	c.ent = c.buf.ent
+	c.buf.ref.Store(1)
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}
-	c.ref.Store(1)
 	return c, nil
 }
 
@@ -182,30 +199,21 @@ func (c *Cache) bump() uint64 {
 }
 
 // own privatizes the tag array before a write. While the array is shared
-// (ref > 1) it copies it and detaches from the shared refcount; once this
-// Cache is the sole owner it is a two-instruction no-op on the hot path.
-// Two sharers racing into own both copy — wasteful but correct, since the
-// shared array itself is never written.
+// it copies it into a buffer of its own and drops its share of the old
+// one; once this Cache is the sole owner it is a two-instruction no-op on
+// the hot path. Two sharers racing into own both copy — wasteful but
+// correct, since the shared array itself is never written.
 func (c *Cache) own() {
-	if c.ref.Load() == 1 {
+	if c.buf.ref.Load() == 1 {
 		return
 	}
-	old := c.ent
-	var ent []uint64
-	if v := c.pool.Get(); v != nil {
-		ent = *v.(*[]uint64)
-	} else {
-		ent = make([]uint64, len(old))
-	}
-	copy(ent, old)
-	c.ent = ent
-	if c.ref.Add(-1) == 0 {
-		// Every other sharer released while we copied; the old array is
-		// now unreferenced and can be recycled.
-		c.pool.Put(&old)
-	}
-	c.ref = new(atomic.Int32)
-	c.ref.Store(1)
+	old := c.buf
+	c.buf = newTagBuf(c.pool, len(c.ent))
+	copy(c.buf.ent, c.ent)
+	c.ent = c.buf.ent
+	// If every other sharer released while we copied, the old buffer is
+	// now unreferenced and recycles.
+	old.drop(c.pool)
 }
 
 // Probe looks up addr, updating LRU state and hit/miss counters. It
@@ -337,20 +345,14 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
 
 // Flush invalidates every line and resets counters.
 func (c *Cache) Flush() {
-	if c.ref.Load() > 1 {
+	if c.buf.ref.Load() > 1 {
 		// The shared array must not be zeroed in place; detach instead.
-		if c.ref.Add(-1) == 0 {
-			ent := c.ent
-			c.pool.Put(&ent)
-		}
-		c.ref = new(atomic.Int32)
-		c.ref.Store(1)
-		c.ent = make([]uint64, len(c.ent))
-	} else {
-		for i := range c.ent {
-			c.ent[i] = 0
-		}
+		old := c.buf
+		c.buf = newTagBuf(c.pool, len(c.ent))
+		c.ent = c.buf.ent
+		old.drop(c.pool)
 	}
+	clear(c.ent)
 	c.tick = 0
 	c.hits = 0
 	c.misses = 0
@@ -361,7 +363,7 @@ func (c *Cache) Flush() {
 // cloning is O(1) regardless of capacity. The clone and the parent may
 // subsequently run on different goroutines.
 func (c *Cache) Clone() Cache {
-	c.ref.Add(1)
+	c.buf.ref.Add(1)
 	return *c
 }
 
@@ -370,16 +372,13 @@ func (c *Cache) Clone() Cache {
 // instead of paying a copy-on-first-write; forgetting it is safe, merely
 // slower. The Cache must not be used after Release.
 func (c *Cache) Release() {
-	if c.ref != nil {
-		if c.ref.Add(-1) == 0 {
-			ent := c.ent
-			c.pool.Put(&ent)
-		}
-		c.ref = nil
+	if c.buf != nil {
+		c.buf.drop(c.pool)
+		c.buf = nil
 		c.ent = nil
 	}
 }
 
 // Shared reports whether the tag array is currently shared with another
 // Cache (used by tests).
-func (c *Cache) Shared() bool { return c.ref.Load() > 1 }
+func (c *Cache) Shared() bool { return c.buf.ref.Load() > 1 }

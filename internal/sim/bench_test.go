@@ -47,6 +47,21 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneInto measures the same snapshot written into a reused,
+// released fork: what the oracle's fork arena pays per sample.
+func BenchmarkCloneInto(b *testing.B) {
+	g := benchGPU(b, "comd", 8)
+	g.RunUntil(20 * clock.Microsecond)
+	f := g.Clone()
+	f.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f = g.CloneInto(f)
+		f.Release()
+	}
+}
+
 // BenchmarkEpochCollect measures the per-boundary counter collection.
 func BenchmarkEpochCollect(b *testing.B) {
 	g := benchGPU(b, "comd", 8)

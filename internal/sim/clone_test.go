@@ -115,3 +115,58 @@ func TestFrequencyScalesComputeBoundWork(t *testing.T) {
 		t.Errorf("memory-bound app scaled more than compute-bound app (%.3f >= %.3f)", xsGain, dgemmGain)
 	}
 }
+
+// TestCloneIntoReusesReleasedFork: CloneInto over a released fork — one
+// that ran far ahead of its parent, or was cloned from a different
+// workload, so its reused slices hold stale state of other shapes — must
+// execute exactly like a fresh Clone of the same parent.
+func TestCloneIntoReusesReleasedFork(t *testing.T) {
+	for _, name := range []string{"comd", "xsbench"} {
+		t.Run(name, func(t *testing.T) {
+			g := mustGPU(t, name, 2)
+			g.RunUntil(20 * clock.Microsecond)
+			other := mustGPU(t, "dgemm", 2)
+			other.RunUntil(15 * clock.Microsecond)
+
+			stale := []*sim.GPU{g.Clone(), other.Clone()}
+			for _, f := range stale {
+				f.SetDomainFreq(1, 2200, 0)
+				f.RunUntil(f.Now + 30*clock.Microsecond)
+				f.Release()
+			}
+			g.RunUntil(g.Now + 5*clock.Microsecond)
+
+			for i, f := range stale {
+				reused := g.CloneInto(f)
+				if reused != f {
+					t.Fatalf("fork %d: CloneInto returned a new GPU instead of reusing dst", i)
+				}
+				fresh := g.Clone()
+				for _, c := range []*sim.GPU{reused, fresh} {
+					c.ResetEpoch()
+					c.SetDomainFreq(0, 1300, 0)
+					c.RunUntil(c.Now + 10*clock.Microsecond)
+				}
+				var a, b sim.EpochSample
+				reused.CollectEpoch(&a)
+				fresh.CollectEpoch(&b)
+				if reused.Now != fresh.Now || reused.TotalCommitted != fresh.TotalCommitted {
+					t.Fatalf("fork %d: reused clone diverged: now %d/%d committed %d/%d",
+						i, reused.Now, fresh.Now, reused.TotalCommitted, fresh.TotalCommitted)
+				}
+				for cu := range a.CUs {
+					if a.CUs[cu].C != b.CUs[cu].C || len(a.CUs[cu].WFs) != len(b.CUs[cu].WFs) {
+						t.Fatalf("fork %d: CU %d diverged:\n%+v\n%+v", i, cu, a.CUs[cu].C, b.CUs[cu].C)
+					}
+					for j := range a.CUs[cu].WFs {
+						if a.CUs[cu].WFs[j] != b.CUs[cu].WFs[j] {
+							t.Fatalf("fork %d: CU %d WF %d diverged", i, cu, j)
+						}
+					}
+				}
+				reused.Release()
+				fresh.Release()
+			}
+		})
+	}
+}

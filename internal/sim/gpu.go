@@ -712,18 +712,35 @@ type WavePC struct {
 // core (waves, queues, counters), not cache capacity. Call Release on a
 // clone being discarded while its parent lives on; forgetting to is safe,
 // merely slower.
-func (g *GPU) Clone() *GPU {
-	cp := *g
-	cp.CUs = make([]CU, len(g.CUs))
-	for i := range g.CUs {
-		cp.CUs[i] = g.CUs[i].clone()
+func (g *GPU) Clone() *GPU { return g.CloneInto(nil) }
+
+// CloneInto is Clone writing into dst and reusing its slices, so a caller
+// that forks the same parent repeatedly (the oracle, every epoch) keeps
+// one fork's storage instead of allocating a new GPU per fork. A nil dst
+// allocates. Otherwise dst must be a GPU cloned earlier and Released
+// since (its cache shares are gone, its slices are its own), and must not
+// be g.
+func (g *GPU) CloneInto(dst *GPU) *GPU {
+	if dst == nil {
+		dst = new(GPU)
 	}
-	cp.Domains = append([]clock.Domain(nil), g.Domains...)
-	cp.Msys = g.Msys.Clone()
-	cp.heap = g.heap.clone()
-	cp.doneBuf = nil
-	cp.dirty = nil
-	return &cp
+	cus, doms, msys := dst.CUs, dst.Domains, dst.Msys
+	heap, doneBuf, dirty := dst.heap, dst.doneBuf, dst.dirty
+	*dst = *g
+	if cap(cus) < len(g.CUs) {
+		cus = make([]CU, len(g.CUs))
+	}
+	dst.CUs = cus[:len(g.CUs)]
+	for i := range g.CUs {
+		g.CUs[i].cloneInto(&dst.CUs[i])
+	}
+	dst.Domains = append(doms[:0], g.Domains...)
+	dst.Msys = g.Msys.CloneInto(msys)
+	g.heap.cloneInto(&heap)
+	dst.heap = heap
+	dst.doneBuf = doneBuf[:0]
+	dst.dirty = dirty[:0]
+	return dst
 }
 
 // Release drops the GPU's copy-on-write share of cache tag state. The GPU

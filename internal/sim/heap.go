@@ -142,14 +142,11 @@ func (h *tickHeap) min() (int32, clock.Time) {
 	return i, h.key[i]
 }
 
-// clone deep-copies the schedule.
-func (h *tickHeap) clone() tickHeap {
-	return tickHeap{
-		key:       append([]clock.Time(nil), h.key...),
-		heap:      append([]int32(nil), h.heap...),
-		pos:       append([]int32(nil), h.pos...),
-		linear:    h.linear,
-		cachedIdx: h.cachedIdx,
-		cachedKey: h.cachedKey,
-	}
+// cloneInto deep-copies the schedule into dst, reusing its slices.
+func (h *tickHeap) cloneInto(dst *tickHeap) {
+	key, heap, pos := dst.key, dst.heap, dst.pos
+	*dst = *h
+	dst.key = append(key[:0], h.key...)
+	dst.heap = append(heap[:0], h.heap...)
+	dst.pos = append(pos[:0], h.pos...)
 }

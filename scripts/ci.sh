@@ -42,7 +42,9 @@ echo "==> go test -race (sim core / CoW oracle forks / shared cache arrays)"
 # arrays until first write. The whole sim/mem/oracle surface runs under
 # the race detector so a privatization bug (a fork writing a still-shared
 # array) fails here rather than corrupting a campaign.
-go test -race ./internal/sim ./internal/mem ./internal/oracle
+# dvfs joins them: concurrent truth-consuming runs fan their forks out
+# onto shared idle cores (TestConcurrentTruthRunsMatchSerial).
+go test -race ./internal/sim ./internal/mem ./internal/oracle ./internal/dvfs
 
 echo "==> alloc gate (epoch hot path must not allocate)"
 # RunUntil + CollectEpoch + ActivePCs per epoch is the per-epoch hot path
@@ -57,6 +59,27 @@ if echo "$alloc_out" | awk '/allocs\/op/ { if ($(NF-1) + 0 > 0) bad = 1 } END { 
 	:
 else
 	echo "alloc gate: epoch hot path allocates (want 0 allocs/op)" >&2
+	exit 1
+fi
+
+echo "==> alloc gate (oracle fork arena: SampleNext allocates only its Truth)"
+# Steady-state SampleNext reuses one fork GPU per worker slot and pooled
+# cache buffers, so what it allocates is the returned Truth (the struct,
+# two row tables, two value slabs: 5) plus one goroutine closure per
+# helper — at most GOMAXPROCS-1. A fork that allocates again (a slice
+# CloneInto stopped reusing, a pooled buffer that boxes) shows up as tens
+# to thousands per op.
+alloc_out=$(go test -run '^$' -bench 'BenchmarkSampleNext' -benchmem -benchtime 100x -cpu 1,2 ./internal/oracle/)
+echo "$alloc_out" | grep allocs/op || true
+if echo "$alloc_out" | awk '/allocs\/op/ {
+	procs = 1
+	if (match($1, /-[0-9]+$/)) procs = substr($1, RSTART + 1) + 0
+	if ($(NF-1) + 0 > 5 + procs - 1) bad = 1
+	seen = 1
+} END { exit bad || !seen }'; then
+	:
+else
+	echo "alloc gate: SampleNext allocates beyond its Truth (want <= 5 + GOMAXPROCS-1 allocs/op)" >&2
 	exit 1
 fi
 
@@ -180,6 +203,34 @@ if [ ! -s "$smoke/serve-cache/manifest.json" ] || ! grep -q "\"$job\"" "$smoke/s
 	exit 1
 fi
 echo "    served job $job completed over HTTP; drain flushed the manifest"
+# The drain handler must be live by the time the server announces its
+# address: SIGTERM sent the instant the readiness line arrives (read from
+# a pipe, not polled) must still drain and exit 0 with a manifest.
+for attempt in 1 2 3 4 5; do
+	early="$smoke/early$attempt"
+	mkdir -p "$early"
+	mkfifo "$early/out"
+	"$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -j 2 \
+		-cache-dir "$early/cache" > "$early/out" 2> "$early/err" &
+	early_pid=$!
+	exec 3< "$early/out"
+	while IFS= read -r line <&3; do
+		case "$line" in "pcstall-serve: listening on "*)
+			kill -TERM "$early_pid"
+			break
+		esac
+	done
+	cat <&3 > /dev/null &
+	early_status=0
+	wait "$early_pid" || early_status=$?
+	exec 3<&-
+	if [ "$early_status" != 0 ] || [ ! -s "$early/cache/manifest.json" ]; then
+		echo "server smoke: SIGTERM right after readiness exited $early_status (want 0 with a manifest)" >&2
+		cat "$early/err" >&2
+		exit 1
+	fi
+done
+echo "    SIGTERM at the readiness line drains cleanly (5 of 5)"
 
 echo "==> load smoke (pcstall-load: open-loop mixes, zero sheds/errors, BENCH schema)"
 # A short deterministic pcstall-load run per class family (cached-heavy,
