@@ -61,7 +61,7 @@ func main() {
 	workers := flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
 	queue := flag.Int("queue", 64, "max admitted-but-unfinished cold-sim jobs before requests shed with 429")
 	figQueue := flag.Int("figure-queue", 0, "max admitted-but-unfinished figure jobs on their own lane (0 = 16; negative shares the sim lane)")
-	bodyCacheBytes := flag.Int64("body-cache-bytes", 0, "byte budget for the rendered-body LRU hot tier (0 = 32 MiB; negative disables)")
+	bodyCacheBytes := flag.Int64("body-cache-bytes", 0, "byte budget for the settled-result store: records plus rendered bodies (0 = 32 MiB; negative keeps only what the disk cache cannot serve back)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (shared with pcstall-exp)")
 	noCache := flag.Bool("no-cache", false, "ignore the disk cache: neither read nor write it")
 	manifest := flag.String("manifest", "", "manifest path flushed on drain (default: <cache-dir>/manifest.json when -cache-dir is set)")
@@ -106,6 +106,7 @@ func main() {
 	}
 	cfg.Workers = *workers
 	cfg.NoCache = *noCache
+	cfg.StoreBytes = *bodyCacheBytes
 	cfg.Retries = *retries
 	cfg.MaxCycles = *maxCycles
 	cfg.Metrics = reg
@@ -127,7 +128,6 @@ func main() {
 		Defaults:       suite.SimDefaults(),
 		MaxQueue:       *queue,
 		FigureQueue:    *figQueue,
-		BodyCacheBytes: *bodyCacheBytes,
 		Workers:        *workers,
 		FigureIDs:      suite.ArtifactIDs(),
 		Metrics:        reg,

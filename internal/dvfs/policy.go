@@ -41,6 +41,11 @@ type Context struct {
 	// read PC signatures through Context.ActivePCs (not G.ActivePCs) so
 	// signature corruption applies uniformly.
 	Chaos *chaos.Engine
+
+	// states and predE are chooseAll's per-epoch scratch: the grid's
+	// frequencies and the per-state energy estimates, sized once.
+	states []clock.Freq
+	predE  []float64
 }
 
 // ActivePCs returns the PC signatures of domain d's resident wavefronts
@@ -86,9 +91,11 @@ type Policy interface {
 // barrier-synced compute phase whose waves each scale individually but
 // share issue slots); uncapped curves systematically over-buy frequency.
 func chooseAll(ctx *Context, obj Objective, pred [][]float64, choice []int) {
-	states := ctx.Grid.States()
 	k := ctx.Grid.Count()
-	predE := make([]float64, k)
+	if len(ctx.states) != k {
+		ctx.states, ctx.predE = ctx.Grid.States(), make([]float64, k)
+	}
+	states, predE := ctx.states, ctx.predE
 	cus := ctx.DMap.CUsPerDomain
 	simds := ctx.G.Cfg.SIMDsPerCU
 	for d := range choice {
@@ -228,6 +235,18 @@ type PCStall struct {
 
 	tables []*predict.PCTable
 	pcBuf  []sim.WavePC
+	// fallback[cu*MaxWavesPerCU+slot] is the latest elapsed-epoch
+	// estimate of the wave in that slot. An entry is live only when its
+	// stamp equals gen, which every Decide bumps, so the slice is reused
+	// across epochs without clearing.
+	fallback []slotEst
+	gen      uint64
+}
+
+// slotEst is one (cu, slot) fallback estimate, live in epoch gen.
+type slotEst struct {
+	est estimate.WFEstimate
+	gen uint64
 }
 
 // NewPCStall returns the paper-default configuration (per-CU 128-entry
@@ -298,11 +317,11 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 	// Update: store each wavefront's elapsed-epoch estimate under its
 	// starting PC, and remember the latest estimate per (cu, slot) as
 	// the miss fallback.
-	type slotEst struct {
-		est   estimate.WFEstimate
-		valid bool
+	stride := ctx.G.Cfg.MaxWavesPerCU
+	if n := ctx.DMap.NumCUs * stride; len(p.fallback) < n {
+		p.fallback = make([]slotEst, n)
 	}
-	fallback := make(map[[2]int32]slotEst)
+	p.gen++
 	if elapsed != nil {
 		dur := int64(elapsed.End - elapsed.Start)
 		for cu := range elapsed.CUs {
@@ -321,7 +340,7 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 					tbl.Update(rec.StartPC, e)
 				}
 				if !rec.Done {
-					fallback[[2]int32{int32(cu), rec.Slot}] = slotEst{est: e, valid: true}
+					p.fallback[cu*stride+int(rec.Slot)] = slotEst{est: e, gen: p.gen}
 				}
 			}
 		}
@@ -341,8 +360,8 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 				if !p.Fallback {
 					continue
 				}
-				fe, has := fallback[[2]int32{wp.CU, wp.Slot}]
-				if !has {
+				fe := &p.fallback[int(wp.CU)*stride+int(wp.Slot)]
+				if fe.gen != p.gen {
 					continue
 				}
 				e = fe.est

@@ -126,6 +126,9 @@ func RunJob(build func() (*sim.GPU, error), newPol func() Policy, cfg RunConfig)
 	if err != nil {
 		return Result{}, fmt.Errorf("dvfs: building GPU: %w", err)
 	}
+	// Run consumes g; releasing it hands its cache tag arrays back to the
+	// pools the next job's GPU is built from.
+	defer g.Release()
 	return Run(g, newPol(), cfg)
 }
 

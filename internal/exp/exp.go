@@ -58,6 +58,9 @@ type Config struct {
 	CacheDir string
 	// NoCache disables the disk cache (in-process run sharing stays on).
 	NoCache bool
+	// StoreBytes bounds the orchestrator's settled-result store (see
+	// orchestrate.Config.StoreBytes; 0 selects the 32 MiB default).
+	StoreBytes int64
 	// Progress, when non-nil, receives periodic orchestrator snapshots.
 	Progress func(orchestrate.Stats)
 	// ProgressEvery sets the snapshot period (default 2s).
@@ -211,7 +214,7 @@ func NewSuite(cfg Config) *Suite {
 		// knobs — a zero-CUs config with Workers/CacheDir set must not
 		// silently lose them.
 		d := DefaultConfig()
-		d.Workers, d.CacheDir, d.NoCache = cfg.Workers, cfg.CacheDir, cfg.NoCache
+		d.Workers, d.CacheDir, d.NoCache, d.StoreBytes = cfg.Workers, cfg.CacheDir, cfg.NoCache, cfg.StoreBytes
 		d.Progress, d.ProgressEvery = cfg.Progress, cfg.ProgressEvery
 		d.Metrics = cfg.Metrics
 		d.Ctx, d.JobTimeout, d.Retries = cfg.Ctx, cfg.JobTimeout, cfg.Retries
@@ -252,6 +255,7 @@ func NewSuite(cfg Config) *Suite {
 		Workers:       cfg.Workers,
 		CacheDir:      cfg.CacheDir,
 		NoCache:       cfg.NoCache,
+		StoreBytes:    cfg.StoreBytes,
 		Run:           run,
 		JobTimeout:    cfg.JobTimeout,
 		Retries:       cfg.Retries,
@@ -267,15 +271,17 @@ func NewSuite(cfg Config) *Suite {
 	return s
 }
 
-// Close flushes the result cache and stops the progress loop. The Suite
-// remains usable for in-memory work afterwards.
+// Close releases the result cache and the manifest journal and stops
+// the progress loop. The Suite remains usable for in-memory work
+// afterwards.
 func (s *Suite) Close() error { return s.orch.Close() }
 
 // Stats snapshots orchestration progress and cache accounting.
 func (s *Suite) Stats() orchestrate.Stats { return s.orch.Stats() }
 
 // WriteManifest writes the campaign's run manifest (job list, hashes,
-// timings, cache hits/misses, worker count) as JSON to path.
+// timings, cache hits/misses, worker count) as JSON to path. Call it
+// before Close, which releases the manifest journal.
 func (s *Suite) WriteManifest(path string) error { return s.orch.WriteManifest(path) }
 
 // Manifest snapshots the campaign's run manifest in memory — the same

@@ -108,11 +108,9 @@ func (s *Suite) RunSim(ctx context.Context, j orchestrate.Job) (*dvfs.Result, er
 	return s.orch.RunJob(ctx, j)
 }
 
-// Cached peeks the orchestrator's settled memo and disk cache for a job
-// key without scheduling work (see orchestrate.Orchestrator.Cached).
-func (s *Suite) Cached(key string) (*dvfs.Result, bool) {
-	return s.orch.Cached(key)
-}
+// Store returns the orchestrator's settled-result store, where a serving
+// layer finds settled records and keeps their rendered bodies.
+func (s *Suite) Store() *orchestrate.Store { return s.orch.Store() }
 
 // SimDefaults returns the Suite's platform parameters as the defaults a
 // serving layer should apply to sparse simulation requests, so a

@@ -122,15 +122,19 @@ func NewCache(sets, ways, lineBytes int) (Cache, error) {
 	for 1<<shift != lineBytes {
 		shift++
 	}
+	// The tag array comes from the same size-keyed pool forks privatize
+	// into, so a job that releases its GPU hands its arrays to the next
+	// job's caches instead of to the garbage collector.
+	pool := tagPoolFor(sets * ways)
 	c := Cache{
 		sets:      uint32(sets),
 		ways:      uint32(ways),
 		lineShift: shift,
-		buf:       &tagBuf{ent: make([]uint64, sets*ways)},
-		pool:      tagPoolFor(sets * ways),
+		buf:       newTagBuf(pool, sets*ways),
+		pool:      pool,
 	}
 	c.ent = c.buf.ent
-	c.buf.ref.Store(1)
+	clear(c.ent)
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}

@@ -1,12 +1,10 @@
 package orchestrate
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"pcstall/internal/dvfs"
@@ -19,11 +17,13 @@ type cacheEntry struct {
 	Result *dvfs.Result `json:"result"`
 }
 
-// Cache is the content-addressed disk layer: one append-only JSON Lines
-// file of (key, job, result) records under a cache directory. The whole
-// file is loaded on open, so lookups are memory-speed; writes append one
-// line per computed result. Keys embed SimVersion, so entries written by
-// an older simulator silently miss (and are left in place) after a bump.
+// Cache is the content-addressed disk layer and the Store's cold tier:
+// one append-only JSON Lines file of (key, job, result) records under a
+// cache directory. Only a key→line index is kept in memory; a lookup
+// reads and decodes its one line, so a cache of any size costs tens of
+// bytes per key, not the records themselves. Writes append one line per
+// computed result. Keys embed SimVersion, so entries written by an older
+// simulator silently miss (and are left in place) after a bump.
 //
 // The disk layer is best-effort in both directions. On load, corrupt
 // lines — a torn append from a killed process, even one longer than the
@@ -31,18 +31,16 @@ type cacheEntry struct {
 // is kept, and a corrupt tail is truncate-repaired in place (the file is
 // atomically rewritten from the surviving entries). On store, the first
 // write failure (disk full, revoked handle) disables further disk writes
-// for the run; results keep flowing through the in-memory layer and the
-// failure is surfaced once to the caller.
+// for the run and is surfaced once to the caller; results that could not
+// be persisted stay in memory in the Store instead.
 //
 // A Cache is safe for concurrent use by multiple goroutines within one
 // process. Concurrent processes appending to the same directory do not
 // corrupt each other's lines (single-line appends), but may duplicate
 // work; last-loaded wins on duplicate keys.
 type Cache struct {
-	mu       sync.Mutex
-	mem      map[string]cacheEntry
-	file     *os.File
-	enc      *json.Encoder
+	mu sync.Mutex
+	lineLog
 	repaired bool
 	writeErr error
 }
@@ -50,75 +48,89 @@ type Cache struct {
 // ResultsFile is the JSONL file name used inside a cache directory.
 const ResultsFile = "results.jsonl"
 
-// OpenCache opens (creating if needed) the cache under dir and loads any
-// existing results. Corrupt lines (a previously killed process) are
+// OpenCache opens (creating if needed) the cache under dir and indexes
+// any existing results. Corrupt lines (a previously killed process) are
 // skipped, not fatal; a corrupt tail that breaks the scanner itself
-// triggers an in-place repair that keeps every entry loaded so far.
+// triggers an in-place repair that keeps every entry indexed so far.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("orchestrate: creating cache dir: %w", err)
 	}
 	path := filepath.Join(dir, ResultsFile)
-	c := &Cache{mem: map[string]cacheEntry{}}
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
-			var e cacheEntry
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" || e.Result == nil {
-				continue // tolerate torn/corrupt lines
-			}
-			c.mem[e.Key] = e
-		}
-		scanErr := sc.Err()
-		f.Close()
-		if scanErr != nil {
-			// A scanner error (most likely a torn final line longer than
-			// the buffer) means the tail is unreadable, not that the cache
-			// is lost: keep what loaded and rewrite the file from it so
-			// the directory is healthy again for this and future runs.
-			if rerr := c.repair(path); rerr != nil {
-				return nil, fmt.Errorf("orchestrate: repairing %s after corrupt tail (%v): %w", path, scanErr, rerr)
-			}
-			c.repaired = true
-		}
-	} else if !os.IsNotExist(err) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
 		return nil, fmt.Errorf("orchestrate: opening %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("orchestrate: appending to %s: %w", path, err)
+	c := &Cache{lineLog: lineLog{file: f, index: map[string]lineRef{}}}
+	torn := false
+	scanErr := scanLines(f, func(off int64, line []byte) {
+		torn = line[len(line)-1] != '\n'
+		// Validate without decoding the result: RawMessage still checks
+		// the whole line's syntax.
+		var e struct {
+			Key    string          `json:"key"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(line, &e); err == nil && e.Key != "" && len(e.Result) > 0 && string(e.Result) != "null" {
+			c.add(e.Key, off, int64(len(line))) // torn/corrupt lines are skipped
+		}
+	})
+	switch {
+	case scanErr != nil:
+		// A scanner error (most likely a torn final line longer than the
+		// buffer) means the tail is unreadable, not that the cache is
+		// lost: keep what was indexed and rewrite the file from it so the
+		// directory is healthy again for this and future runs.
+		if rerr := c.repair(path); rerr != nil {
+			f.Close()
+			return nil, fmt.Errorf("orchestrate: repairing %s after corrupt tail (%v): %w", path, scanErr, rerr)
+		}
+		c.repaired = true
+	case torn:
+		// Terminate a torn final line so the next append starts a line
+		// of its own instead of extending the corrupt one.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("orchestrate: appending to %s: %w", path, err)
+		}
 	}
-	c.file = f
-	c.enc = json.NewEncoder(f)
 	return c, nil
 }
 
-// repair atomically rewrites the results file from the loaded entries
-// (sorted by key for stable diffs), discarding the unreadable tail.
+// repair atomically rewrites the results file from the indexed lines
+// (sorted by key for stable diffs), discarding the unreadable tail, and
+// reopens it with the index pointing into the new file.
 func (c *Cache) repair(path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ResultsFile+".repair-*")
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(tmp)
-	keys := make([]string, 0, len(c.mem))
-	for k := range c.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := enc.Encode(c.mem[k]); err != nil {
+	fresh := lineLog{index: map[string]lineRef{}}
+	for _, k := range c.sortedKeys() {
+		line, err := readLine(c.file, c.index[k])
+		if err == nil {
+			_, err = tmp.Write(line)
+		}
+		if err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
 			return err
 		}
+		fresh.add(k, fresh.bytes, int64(len(line)))
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if fresh.file, err = os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644); err != nil {
+		return err
+	}
+	c.file.Close()
+	c.lineLog = fresh
+	return nil
 }
 
 // Repaired reports whether OpenCache had to truncate-repair a corrupt
@@ -137,43 +149,51 @@ func (c *Cache) WriteErr() error {
 	return c.writeErr
 }
 
-// Get returns the cached result for key, if present.
-func (c *Cache) Get(key string) (*dvfs.Result, bool) {
+// entry reads and decodes key's line. The read runs outside the lock:
+// indexed lines are immutable.
+func (c *Cache) entry(key string) (cacheEntry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.mem[key]
-	return e.Result, ok
-}
-
-// Len reports the number of loaded entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
-}
-
-// Put stores a computed result in memory and appends it to the results
-// file. A persistence error is returned once and disables further disk
-// writes for the run — the in-memory layer keeps serving, so the caller
-// should degrade (count the failure), not fail the job. A partially
-// appended line from the failed write is tolerated (and repaired) by the
-// next OpenCache.
-func (c *Cache) Put(key string, j Job, r *dvfs.Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mem[key] = cacheEntry{Key: key, Job: j, Result: r}
-	if c.enc == nil {
-		return nil
+	ref, ok := c.index[key]
+	f := c.file
+	c.mu.Unlock()
+	if !ok || f == nil {
+		return cacheEntry{}, false
 	}
-	if err := c.enc.Encode(cacheEntry{Key: key, Job: j, Result: r}); err != nil {
+	var e cacheEntry
+	line, err := readLine(f, ref)
+	if err != nil || json.Unmarshal(line, &e) != nil || e.Key != key || e.Result == nil {
+		return cacheEntry{}, false
+	}
+	return e, true
+}
+
+// Put appends a computed result to the results file and reports
+// whether it got there, i.e. whether the cache can serve it back. A
+// persistence error is returned once and disables further disk writes
+// for the run; later Puts are no-ops, so the caller should degrade
+// (count the failure, keep the result in memory), not fail the job. A
+// partially appended line from the failed write is tolerated (and
+// repaired) by the next OpenCache.
+func (c *Cache) Put(key string, j Job, r *dvfs.Result) (persisted bool, err error) {
+	line, err := json.Marshal(cacheEntry{Key: key, Job: j, Result: r})
+	if err != nil {
+		return false, fmt.Errorf("orchestrate: encoding %s: %w", key, err)
+	}
+	line = append(line, '\n')
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.file == nil || c.writeErr != nil {
+		return false, nil
+	}
+	if err := c.appendLine(key, line); err != nil {
 		c.writeErr = fmt.Errorf("orchestrate: persisting %s (disk writes disabled for this run): %w", key, err)
-		c.enc = nil
-		return c.writeErr
+		return false, c.writeErr
 	}
-	return nil
+	return true, nil
 }
 
-// Close releases the append handle. Get/Put remain usable in-memory.
+// Close releases the file handle; later lookups miss and Puts are
+// no-ops.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,6 +201,6 @@ func (c *Cache) Close() error {
 		return nil
 	}
 	err := c.file.Close()
-	c.file, c.enc = nil, nil
+	c.file = nil
 	return err
 }

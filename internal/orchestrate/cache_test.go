@@ -28,7 +28,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		Residency: []float64{0.1, 0.2, 0.7},
 		Epochs:    33,
 	}
-	if err := c.Put(j.Key(), j, r); err != nil {
+	if _, err := c.Put(j.Key(), j, r); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -40,7 +40,8 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	got, ok := c2.Get(j.Key())
+	e, ok := c2.entry(j.Key())
+	got := e.Result
 	if !ok {
 		t.Fatal("entry lost across close/open")
 	}
@@ -54,8 +55,8 @@ func TestCacheRoundTrip(t *testing.T) {
 			t.Fatalf("residency[%d] %v != %v", i, got.Residency[i], r.Residency[i])
 		}
 	}
-	if c2.Len() != 1 {
-		t.Fatalf("len %d", c2.Len())
+	if len(c2.index) != 1 {
+		t.Fatalf("len %d", len(c2.index))
 	}
 }
 
@@ -66,7 +67,7 @@ func TestCacheToleratesCorruptLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := testJob(1)
-	if err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X"}); err != nil {
+	if _, err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X"}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -83,15 +84,15 @@ func TestCacheToleratesCorruptLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, ok := c2.Get(j.Key()); !ok {
+	if _, ok := c2.entry(j.Key()); !ok {
 		t.Fatal("valid entry lost to corrupt neighbour")
 	}
-	if c2.Len() != 1 {
-		t.Fatalf("corrupt line loaded: len %d", c2.Len())
+	if len(c2.index) != 1 {
+		t.Fatalf("corrupt line loaded: len %d", len(c2.index))
 	}
 	// And the cache stays appendable after recovery.
 	j2 := testJob(2)
-	if err := c2.Put(j2.Key(), j2, &dvfs.Result{Policy: "Y"}); err != nil {
+	if _, err := c2.Put(j2.Key(), j2, &dvfs.Result{Policy: "Y"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +109,7 @@ func TestCacheRepairsTornTailBeyondScannerBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := testJob(1)
-	if err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X", Epochs: 7}); err != nil {
+	if _, err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X", Epochs: 7}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -133,9 +134,9 @@ func TestCacheRepairsTornTailBeyondScannerBuffer(t *testing.T) {
 	if !c2.Repaired() {
 		t.Fatal("repair not reported")
 	}
-	got, ok := c2.Get(j.Key())
-	if !ok || got.Epochs != 7 {
-		t.Fatalf("pre-tail entry lost in repair: %+v ok=%v", got, ok)
+	e, ok := c2.entry(j.Key())
+	if got := e.Result; !ok || got.Epochs != 7 {
+		t.Fatalf("pre-tail entry lost in repair: %+v ok=%v", e, ok)
 	}
 	// The repair must have physically truncated the corrupt tail.
 	if fi, err := os.Stat(path); err != nil || fi.Size() > 1<<20 {
@@ -148,39 +149,45 @@ func TestCacheRepairsTornTailBeyondScannerBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c3.Close()
-	if c3.Repaired() || c3.Len() != 1 {
-		t.Fatalf("repaired file unhealthy: repaired=%v len=%d", c3.Repaired(), c3.Len())
+	if c3.Repaired() || len(c3.index) != 1 {
+		t.Fatalf("repaired file unhealthy: repaired=%v len=%d", c3.Repaired(), len(c3.index))
 	}
 }
 
 // TestCachePutFailureDegrades pins the degrade contract: a persistence
 // failure surfaces once, disables further disk writes, and leaves the
-// in-memory layer fully serviceable.
+// results fully serviceable from memory — the Store pins what the cold
+// tier could not take, even with a zero budget that evicts everything
+// the disk can serve back.
 func TestCachePutFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := newStore(-1, c, nil)
 	// Sabotage the append handle out from under the encoder — the shape
 	// of a revoked handle or an unwritable disk.
 	c.file.Close()
 	j := testJob(1)
-	if err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X"}); err == nil {
-		t.Fatal("write failure swallowed")
+	persisted, err := c.Put(j.Key(), j, &dvfs.Result{Policy: "X"})
+	if err == nil || persisted {
+		t.Fatalf("write failure swallowed (persisted=%v err=%v)", persisted, err)
 	}
 	if c.WriteErr() == nil {
 		t.Fatal("write error not recorded")
 	}
+	st.put(j.Key(), j, &dvfs.Result{Policy: "X"}, nil, !persisted)
 	// Later puts degrade silently to memory; lookups keep working.
 	j2 := testJob(2)
-	if err := c.Put(j2.Key(), j2, &dvfs.Result{Policy: "Y"}); err != nil {
+	if _, err := c.Put(j2.Key(), j2, &dvfs.Result{Policy: "Y"}); err != nil {
 		t.Fatalf("degraded put still failing: %v", err)
 	}
-	if _, ok := c.Get(j.Key()); !ok {
+	st.put(j2.Key(), j2, &dvfs.Result{Policy: "Y"}, nil, true)
+	if _, ok := st.Get(j.Key()); !ok {
 		t.Fatal("in-memory layer lost the result that failed to persist")
 	}
-	if _, ok := c.Get(j2.Key()); !ok {
+	if _, ok := st.Get(j2.Key()); !ok {
 		t.Fatal("in-memory layer lost the post-degrade result")
 	}
 }

@@ -1,10 +1,11 @@
 package orchestrate
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"pcstall/internal/telemetry"
@@ -86,9 +87,50 @@ func (m *Manifest) HitRate() float64 {
 	return float64(m.MemHits+m.DiskHits) / float64(m.Submissions)
 }
 
-// Manifest snapshots the campaign so far. Jobs are sorted by key, so two
-// identical campaigns produce byte-identical manifests up to timings.
-func (o *Orchestrator) Manifest() *Manifest {
+// encodeEntry renders one journal line for e.
+func encodeEntry(e ManifestEntry) []byte {
+	b, err := json.Marshal(e)
+	if err != nil {
+		// Non-finite metric values cannot be encoded; keep the entry
+		// without its snapshot rather than lose the job from the manifest.
+		e.Metrics = nil
+		b, _ = json.Marshal(e)
+	}
+	return append(b, '\n')
+}
+
+// journalLocked appends one settled job's manifest entry to the journal,
+// creating it on first use: one per orchestrator, since processes may
+// share a cache dir, unlinked at once so even a killed process leaves
+// nothing behind (the open handle keeps it readable until Close). When
+// the journal cannot take the line — a failed create or write, or Close
+// already ran — only the entry is lost: the key is still indexed, so
+// later submissions of it stay memo hits, and the first failure is kept
+// for WriteManifest, as a manifest missing jobs must not pass for a
+// complete one. Callers hold o.mu.
+func (o *Orchestrator) journalLocked(key string, line []byte) {
+	if o.journalErr == nil && o.journal.file == nil {
+		if f, err := os.CreateTemp(o.journalDir, "manifest-*.jsonl"); err != nil {
+			o.journalErr = fmt.Errorf("manifest journal: %w", err)
+		} else {
+			o.journal.file, o.journalPath = f, f.Name()
+			os.Remove(f.Name())
+		}
+	}
+	if o.journalErr == nil {
+		if err := o.journal.appendLine(key, line); err != nil {
+			o.journalErr = fmt.Errorf("manifest journal: %w", err)
+		}
+	}
+	if o.journalErr != nil {
+		o.journal.add(key, 0, 0) // settled, with no readable entry
+	}
+}
+
+// manifestHead snapshots the campaign's aggregate fields (Jobs left nil)
+// and the journal file and lines of its jobs in key order, plus the
+// journal's first failure.
+func (o *Orchestrator) manifestHead() (*Manifest, *os.File, []lineRef, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m := &Manifest{
@@ -96,31 +138,94 @@ func (o *Orchestrator) Manifest() *Manifest {
 		CreatedAt:   o.created.UTC().Format(time.RFC3339),
 		Workers:     o.workers,
 		Submissions: o.submissions,
-		UniqueJobs:  len(o.entries),
+		UniqueJobs:  len(o.journal.index),
 		MemHits:     o.memHits,
 		DiskHits:    o.diskHits,
 		Misses:      o.misses,
 		JobTimeMS:   float64(o.jobTime) / float64(time.Millisecond),
 		WallMS:      float64(time.Since(o.created)) / float64(time.Millisecond),
-		Jobs:        append([]ManifestEntry(nil), o.entries...),
 	}
-	sort.Slice(m.Jobs, func(a, b int) bool { return m.Jobs[a].Key < m.Jobs[b].Key })
-	if o.tele != nil {
+	if o.tele.reg != nil {
 		snap := o.tele.reg.Snapshot()
 		m.Metrics = &snap
+	}
+	refs := make([]lineRef, 0, len(o.journal.index))
+	for _, k := range o.journal.sortedKeys() {
+		refs = append(refs, o.journal.index[k])
+	}
+	return m, o.journal.file, refs, o.journalErr
+}
+
+// Manifest snapshots the campaign so far, reading its jobs back from the
+// journal (call it before Close). Jobs are sorted by key, so two
+// identical campaigns produce byte-identical manifests up to timings.
+func (o *Orchestrator) Manifest() *Manifest {
+	m, f, refs, _ := o.manifestHead()
+	for _, ref := range refs {
+		var e ManifestEntry
+		if line, err := readLine(f, ref); err == nil && json.Unmarshal(line, &e) == nil {
+			m.Jobs = append(m.Jobs, e)
+		}
 	}
 	return m
 }
 
-// WriteManifest writes the campaign manifest as indented JSON to path.
+// WriteManifest writes the campaign manifest as indented JSON to path
+// (call it before Close). The bytes are those json.MarshalIndent gives
+// for Manifest(), but the jobs stream from the journal one line at a
+// time, re-indented in place, so the document is never held in memory.
 func (o *Orchestrator) WriteManifest(path string) error {
-	b, err := json.MarshalIndent(o.Manifest(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("orchestrate: encoding manifest: %w", err)
+	f, err := os.Create(path)
+	if err == nil {
+		w := bufio.NewWriter(f)
+		if err = o.writeManifest(w); err == nil {
+			err = w.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("orchestrate: writing manifest: %w", err)
 	}
 	return nil
+}
+
+func (o *Orchestrator) writeManifest(w *bufio.Writer) error {
+	m, f, refs, err := o.manifestHead()
+	if err != nil {
+		return err
+	}
+	head, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	if len(refs) == 0 {
+		w.Write(head) // "jobs": null, as an empty campaign always rendered
+		return w.WriteByte('\n')
+	}
+	// Splice the journal lines in where the head renders "jobs": null.
+	before, after, found := bytes.Cut(head, []byte("\n  \"jobs\": null"))
+	if !found {
+		return fmt.Errorf("manifest head has no null jobs field to splice")
+	}
+	w.Write(before)
+	sep := "\n  \"jobs\": [\n    "
+	var buf bytes.Buffer
+	for _, ref := range refs {
+		line, err := readLine(f, ref)
+		buf.Reset()
+		if err == nil {
+			err = json.Indent(&buf, bytes.TrimSuffix(line, []byte{'\n'}), "    ", "  ")
+		}
+		if err != nil {
+			return fmt.Errorf("reading journal: %w", err)
+		}
+		w.WriteString(sep)
+		w.Write(buf.Bytes())
+		sep = ",\n    "
+	}
+	w.WriteString("\n  ]")
+	w.Write(after)
+	return w.WriteByte('\n')
 }

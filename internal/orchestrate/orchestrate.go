@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -53,10 +54,15 @@ type Config struct {
 	// CacheDir enables the persistent result cache ("" = in-memory only).
 	CacheDir string
 	// NoCache disables the disk layer entirely: nothing is read from or
-	// written to CacheDir. The in-process memo stays on — figures that
-	// share runs (Fig. 15/16/17 all run PCSTALL@1µs) rely on it, and it
-	// cannot go stale within one process.
+	// written to CacheDir. Settled results stay in the in-memory Store —
+	// figures that share runs (Fig. 15/16/17 all run PCSTALL@1µs) rely on
+	// it, and it cannot go stale within one process.
 	NoCache bool
+	// StoreBytes bounds the settled-result Store (records plus the
+	// rendered bodies a server attaches). 0 selects DefaultStoreBytes;
+	// negative keeps nothing the cold tier can serve back. Records with
+	// no cold tier to fall back on are held regardless (see Store).
+	StoreBytes int64
 	// Run executes one job; required.
 	Run RunFunc
 	// JobTimeout bounds each attempt of each executed job (0 = no
@@ -134,13 +140,29 @@ type future struct {
 	err  error
 }
 
+// closedDone is the done channel of futures built for already-settled
+// jobs.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Orchestrator shards jobs across a bounded worker pool with a
 // content-addressed result cache. Methods are safe for concurrent use.
+//
+// A job lives in exactly one place at a time. While it runs, its future
+// sits in the memo, where duplicate submissions join it. Once it
+// settles, the memo forgets it: the result goes to the Store (bounded,
+// backed by the cold tier) and the manifest entry to the journal, whose
+// index is also what tells a later submission that the key already
+// settled in this campaign.
 type Orchestrator struct {
 	run          RunFunc
 	workers      int
 	noCache      bool
 	cache        *Cache
+	store        *Store
 	sem          chan struct{}
 	created      time.Time
 	tele         *orchTelemetry
@@ -150,8 +172,11 @@ type Orchestrator struct {
 	retryBackoff time.Duration
 
 	mu          sync.Mutex
-	memo        map[string]*future
-	entries     []ManifestEntry
+	memo        map[string]*future // in-flight jobs only
+	journal     lineLog            // settled manifest entries, by key
+	journalDir  string             // where the journal is created ("" = temp dir)
+	journalPath string
+	journalErr  error
 	submissions int
 	completed   int
 	running     int
@@ -190,6 +215,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		sem:          make(chan struct{}, w),
 		created:      time.Now(),
 		memo:         map[string]*future{},
+		journal:      lineLog{index: map[string]lineRef{}},
 		tele:         newOrchTelemetry(cfg.Metrics),
 		log:          cfg.Log,
 		jobTimeout:   cfg.JobTimeout,
@@ -202,10 +228,12 @@ func New(cfg Config) (*Orchestrator, error) {
 			return nil, err
 		}
 		o.cache = c
-		if c.Repaired() && o.tele != nil {
+		if c.Repaired() {
 			o.tele.cacheRepairs.Inc()
 		}
+		o.journalDir = cfg.CacheDir
 	}
+	o.store = newStore(cfg.StoreBytes, o.cache, o.tele)
 	if cfg.Progress != nil {
 		every := cfg.ProgressEvery
 		if every <= 0 {
@@ -237,10 +265,10 @@ func (o *Orchestrator) Stats() Stats {
 	defer o.mu.Unlock()
 	return Stats{
 		Workers:     o.workers,
-		Unique:      len(o.memo),
+		Unique:      len(o.memo) + o.completed,
 		Completed:   o.completed,
 		Running:     o.running,
-		Queued:      len(o.memo) - o.completed - o.running,
+		Queued:      len(o.memo) - o.running,
 		Submissions: o.submissions,
 		MemHits:     o.memHits,
 		DiskHits:    o.diskHits,
@@ -254,32 +282,19 @@ func (o *Orchestrator) Stats() Stats {
 }
 
 // Cached returns the already-settled result for key without scheduling
-// any work: the in-process memo answers when the job has completed
-// successfully, else the disk cache. It is the serving layer's
-// short-circuit hook — a hit can be fanned out to callers without
-// consuming a worker slot or queue capacity, and it never perturbs
-// campaign accounting (no hit counters, no manifest entry). In-flight
-// and failed jobs read as misses.
+// any work, from the Store (which falls back to the disk cache). It is
+// the short-circuit hook of dispatchers peeking before they send work —
+// a hit never perturbs campaign accounting (no hit counters, no manifest
+// entry). In-flight and failed jobs read as misses.
 func (o *Orchestrator) Cached(key string) (*dvfs.Result, bool) {
-	o.mu.Lock()
-	if f, ok := o.memo[key]; ok {
-		select {
-		case <-f.done:
-			if f.err == nil {
-				o.mu.Unlock()
-				return f.res, true
-			}
-		default:
-		}
-	}
-	o.mu.Unlock()
-	if o.cache != nil {
-		if r, ok := o.cache.Get(key); ok {
-			return r, true
-		}
-	}
-	return nil, false
+	st, ok := o.store.Get(key)
+	return st.Result, ok && st.Result != nil
 }
+
+// Store returns the settled-result store: the records this orchestrator
+// settled or loaded, and a home for the rendered bodies a serving layer
+// attaches to them.
+func (o *Orchestrator) Store() *Store { return o.store }
 
 // RunJob executes a single job through the pool — the serving layer's
 // one-request entry point. Semantics are RunJobs' for a batch of one:
@@ -423,20 +438,29 @@ func (o *Orchestrator) submit(ctx context.Context, j Job) *future {
 	key := j.Key()
 	o.mu.Lock()
 	o.submissions++
-	if f, ok := o.memo[key]; ok {
-		o.memHits++
+	f, inflight := o.memo[key]
+	_, settled := o.journal.index[key]
+	if !inflight && !settled {
+		f = &future{done: make(chan struct{})}
+		o.memo[key] = f
+		o.updateGauges()
 		o.mu.Unlock()
-		if o.tele != nil {
-			o.tele.memHits.Inc()
-		}
+		go o.exec(ctx, j, key, f)
 		return f
 	}
-	f := &future{done: make(chan struct{})}
-	o.memo[key] = f
-	o.updateGauges()
+	o.memHits++
 	o.mu.Unlock()
-	go o.exec(ctx, j, key, f)
-	return f
+	o.tele.memHits.Inc()
+	if inflight {
+		return f
+	}
+	// Settled earlier in this campaign: the Store has the outcome, or
+	// the cold tier does if the Store evicted it.
+	st := o.store.settled(key)
+	if st.Result == nil && st.Err == nil {
+		st.Err = fmt.Errorf("orchestrate: settled result %s is no longer readable", key)
+	}
+	return &future{done: closedDone, res: st.Result, err: st.Err}
 }
 
 // settleCancelled records a job abandoned by cancellation: it settles
@@ -447,18 +471,14 @@ func (o *Orchestrator) submit(ctx context.Context, j Job) *future {
 func (o *Orchestrator) settleCancelled(key string, f *future, err error, wasRunning bool) {
 	f.err = err
 	o.mu.Lock()
-	if o.memo[key] == f {
-		delete(o.memo, key)
-	}
+	delete(o.memo, key)
 	if wasRunning {
 		o.running--
 	}
 	o.cancelled++
 	o.updateGauges()
 	o.mu.Unlock()
-	if o.tele != nil {
-		o.tele.cancellations.Inc()
-	}
+	o.tele.cancellations.Inc()
 }
 
 // exec settles one future: disk-cache lookup, else a pooled run.
@@ -474,35 +494,27 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 		tracing.String("app", j.App),
 		tracing.String("design", j.Design))
 	if o.cache != nil {
-		var getSpan telemetry.Span
-		if o.tele != nil {
-			getSpan = telemetry.StartSpan(o.tele.cacheGet)
-		}
-		r, ok := o.cache.Get(key)
+		getSpan := telemetry.StartSpan(o.tele.cacheGet)
+		st, ok := o.store.Get(key)
 		getSpan.End()
-		if ok {
-			f.res = r
+		if ok && st.Result != nil {
+			f.res = st.Result
 			jobSpan.SetAttr("source", "disk")
 			jobSpan.End()
+			line := encodeEntry(ManifestEntry{Key: key, Job: j, Source: "disk", TraceID: jobSpan.TraceID()})
 			o.mu.Lock()
 			o.diskHits++
 			o.completed++
-			o.entries = append(o.entries, ManifestEntry{
-				Key: key, Job: j, Source: "disk", TraceID: jobSpan.TraceID(),
-			})
+			o.journalLocked(key, line)
+			delete(o.memo, key)
 			o.updateGauges()
 			o.mu.Unlock()
-			if o.tele != nil {
-				o.tele.diskHits.Inc()
-				o.tele.jobsCompleted.Inc()
-			}
+			o.tele.diskHits.Inc()
+			o.tele.jobsCompleted.Inc()
 			return
 		}
 	}
-	var queueSpan telemetry.Span
-	if o.tele != nil {
-		queueSpan = telemetry.StartSpan(o.tele.queueWait)
-	}
+	queueSpan := telemetry.StartSpan(o.tele.queueWait)
 	// Acquire a worker slot — or give up if the campaign is cancelled
 	// while this job is still queued.
 	select {
@@ -530,7 +542,7 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 	// never confound each other's snapshots; the snapshot is merged into
 	// the campaign registry once the job settles.
 	var jobReg *telemetry.Registry
-	if o.tele != nil {
+	if o.tele.reg != nil {
 		jobReg = telemetry.New()
 	}
 	// The source holder lets a dispatching RunFunc report where the
@@ -547,18 +559,16 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 		o.settleCancelled(key, f, err, true)
 		return
 	}
+	persisted := false
 	if err == nil && o.cache != nil {
-		var putSpan telemetry.Span
-		if o.tele != nil {
-			putSpan = telemetry.StartSpan(o.tele.cachePut)
-		}
-		if perr := o.cache.Put(key, j, r); perr != nil {
+		putSpan := telemetry.StartSpan(o.tele.cachePut)
+		var perr error
+		persisted, perr = o.cache.Put(key, j, r)
+		if perr != nil {
 			// Persistence is best-effort: the computed result stands, the
 			// failure is counted, and the cache has disabled further disk
-			// writes for this run (the in-memory layer stays warm).
-			if o.tele != nil {
-				o.tele.cacheWriteFails.Inc()
-			}
+			// writes for this run (the Store pins what the disk lacks).
+			o.tele.cacheWriteFails.Inc()
 		}
 		putSpan.End()
 	}
@@ -581,26 +591,29 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 	jobSpan.SetAttr("source", entry.Source)
 	jobSpan.End()
 	o.logJob(entry, err)
-	if o.tele != nil {
+	if jobReg != nil {
 		snap := jobReg.Snapshot()
 		o.tele.reg.Merge(snap)
 		entry.Metrics = &snap
-		o.tele.misses.Inc()
-		o.tele.jobsCompleted.Inc()
-		if err != nil {
-			o.tele.errors.Inc()
-			var de *sim.DeadlockError
-			if errors.As(err, &de) {
-				o.tele.deadlocks.Inc()
-			}
+	}
+	o.tele.misses.Inc()
+	o.tele.jobsCompleted.Inc()
+	if err != nil {
+		o.tele.errors.Inc()
+		var de *sim.DeadlockError
+		if errors.As(err, &de) {
+			o.tele.deadlocks.Inc()
 		}
 	}
+	line := encodeEntry(entry)
 	o.mu.Lock()
 	o.running--
 	o.completed++
 	o.misses++
 	o.jobTime += dur
-	o.entries = append(o.entries, entry)
+	o.journalLocked(key, line)
+	o.store.put(key, j, r, err, !persisted)
+	delete(o.memo, key)
 	o.updateGauges()
 	o.mu.Unlock()
 }
@@ -641,9 +654,7 @@ func (o *Orchestrator) runAttempts(ctx context.Context, j Job, reg *telemetry.Re
 			o.mu.Lock()
 			o.panicked++
 			o.mu.Unlock()
-			if o.tele != nil {
-				o.tele.panics.Inc()
-			}
+			o.tele.panics.Inc()
 			return nil, err
 		}
 		if isCancellation(err) && ctx.Err() != nil {
@@ -658,9 +669,7 @@ func (o *Orchestrator) runAttempts(ctx context.Context, j Job, reg *telemetry.Re
 		o.mu.Lock()
 		o.retried++
 		o.mu.Unlock()
-		if o.tele != nil {
-			o.tele.retries.Inc()
-		}
+		o.tele.retries.Inc()
 		tracing.FromContext(ctx).Event("retry",
 			tracing.Int("attempt", int64(attempt+1)),
 			tracing.String("error", err.Error()))
@@ -705,10 +714,7 @@ func (o *Orchestrator) runOnce(ctx context.Context, j Job, reg *telemetry.Regist
 		r, err := o.run(actx, j, reg)
 		ch <- outcome{r, err}
 	}()
-	var runSpan telemetry.Span
-	if o.tele != nil {
-		runSpan = telemetry.StartSpan(o.tele.runPhase)
-	}
+	runSpan := telemetry.StartSpan(o.tele.runPhase)
 	select {
 	case out := <-ch:
 		runSpan.End()
@@ -728,8 +734,11 @@ func (o *Orchestrator) runOnce(ctx context.Context, j Job, reg *telemetry.Regist
 	}
 }
 
-// Close stops the progress loop and releases the cache append handle.
-// The orchestrator remains usable for in-memory work afterwards.
+// Close stops the progress loop and releases the cache and manifest
+// journal handles, so Manifest and WriteManifest belong before it
+// (WriteManifest fails afterwards). The orchestrator remains usable for
+// in-memory work: later jobs still share settled results, but reach
+// neither the disk cache nor the manifest.
 func (o *Orchestrator) Close() error {
 	o.closeOnce.Do(func() {
 		if o.progressStop != nil {
@@ -738,6 +747,17 @@ func (o *Orchestrator) Close() error {
 		}
 		if o.cache != nil {
 			o.closeErr = o.cache.Close()
+		}
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if o.journal.file != nil {
+			if err := o.journal.file.Close(); o.closeErr == nil {
+				o.closeErr = err
+			}
+			os.Remove(o.journalPath) // already gone where unlinking an open file works
+		}
+		if o.journalErr == nil {
+			o.journalErr = errors.New("manifest journal: closed")
 		}
 	})
 	return o.closeErr

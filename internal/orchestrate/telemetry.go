@@ -27,17 +27,22 @@ type orchTelemetry struct {
 	running    *telemetry.Gauge
 	queueDepth *telemetry.Gauge
 
+	storeEntries   *telemetry.Gauge
+	storeBytes     *telemetry.Gauge
+	storePinned    *telemetry.Gauge
+	storeEvictions *telemetry.Counter
+	storeEvicted   int64 // evictions already counted; guarded by Store.mu
+	journalBytes   *telemetry.Gauge
+
 	queueWait *telemetry.Histogram
 	runPhase  *telemetry.Histogram
 	cacheGet  *telemetry.Histogram
 	cachePut  *telemetry.Histogram
 }
 
-// newOrchTelemetry builds the bundle on r (nil r yields nil).
+// newOrchTelemetry builds the bundle on r. With a nil r every metric is
+// nil, and recording into it is a no-op.
 func newOrchTelemetry(r *telemetry.Registry) *orchTelemetry {
-	if r == nil {
-		return nil
-	}
 	return &orchTelemetry{
 		reg:           r,
 		jobsCompleted: r.Counter("orchestrate_jobs_completed_total", "jobs settled (computed or cache-served)"),
@@ -54,18 +59,22 @@ func newOrchTelemetry(r *telemetry.Registry) *orchTelemetry {
 		cacheRepairs: r.Counter("orchestrate_cache_repairs_total", "cache files truncate-repaired after a corrupt tail"),
 		running:      r.Gauge("orchestrate_jobs_running", "jobs holding a worker slot now"),
 		queueDepth:   r.Gauge("orchestrate_queue_depth", "jobs scheduled but not yet running or settled"),
-		queueWait:    r.Phase("orchestrate_job_queue_wait"),
-		runPhase:     r.Phase("orchestrate_job_run"),
-		cacheGet:     r.Phase("orchestrate_cache_get"),
-		cachePut:     r.Phase("orchestrate_cache_put"),
+		storeEntries: r.Gauge("orchestrate_store_entries", "settled jobs held by the result store (record, rendered body, or both)"),
+		storeBytes:   r.Gauge("orchestrate_store_bytes", "estimated bytes held by the result store, pinned records included"),
+		storePinned: r.Gauge("orchestrate_store_pinned_bytes",
+			"bytes of records the store keeps outside its budget because the cold tier cannot serve them (no cache dir, failed write, or error)"),
+		storeEvictions: r.Counter("orchestrate_store_evictions_total", "settled jobs evicted from the result store to hold its byte budget"),
+		journalBytes:   r.Gauge("orchestrate_manifest_journal_bytes", "bytes of manifest entries journaled to disk this campaign"),
+		queueWait:      r.Phase("orchestrate_job_queue_wait"),
+		runPhase:       r.Phase("orchestrate_job_run"),
+		cacheGet:       r.Phase("orchestrate_cache_get"),
+		cachePut:       r.Phase("orchestrate_cache_put"),
 	}
 }
 
 // updateGauges publishes the pool state; callers hold o.mu.
 func (o *Orchestrator) updateGauges() {
-	if o.tele == nil {
-		return
-	}
 	o.tele.running.Set(float64(o.running))
-	o.tele.queueDepth.Set(float64(len(o.memo) - o.completed - o.running))
+	o.tele.queueDepth.Set(float64(len(o.memo) - o.running))
+	o.tele.journalBytes.Set(float64(o.journal.bytes))
 }

@@ -4,73 +4,73 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"pcstall/internal/orchestrate"
 )
 
-// TestBodyCacheBasics: put/get round-trips bytes and digest, a missing
-// key misses, and a nil cache is inert.
+// The rendered-body tier is the settled-result store's body half: these
+// tests pin the LRU contract the serving layer relies on.
+
+// TestBodyCacheBasics: attach/get round-trips bytes and digest, a
+// missing key misses, and a negative budget keeps no body.
 func TestBodyCacheBasics(t *testing.T) {
-	c := newBodyCache(1 << 10)
+	c := orchestrate.NewStore(1<<10, nil)
 	body := []byte(`{"x":1}`)
-	if ev := c.put("k1", body, "d1"); ev != 0 {
-		t.Fatalf("put evicted %d, want 0", ev)
+	c.Attach("k1", body, "d1")
+	got, ok := c.Get("k1")
+	if !ok || !bytes.Equal(got.Body, body) || got.Digest != "d1" {
+		t.Fatalf("get = (%q, %q, %v), want (%q, %q, true)", got.Body, got.Digest, ok, body, "d1")
 	}
-	got, digest, ok := c.get("k1")
-	if !ok || !bytes.Equal(got, body) || digest != "d1" {
-		t.Fatalf("get = (%q, %q, %v), want (%q, %q, true)", got, digest, ok, body, "d1")
-	}
-	if _, _, ok := c.get("nope"); ok {
+	if _, ok := c.Get("nope"); ok {
 		t.Fatal("get on a missing key reported a hit")
 	}
+	if st := c.Stats(); st.Bodies != 1 || st.BodyBytes != int64(len(body)) || st.BodyEvictions != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
 
-	var nilCache *bodyCache
-	if _, _, ok := nilCache.get("k1"); ok {
-		t.Fatal("nil cache reported a hit")
+	off := orchestrate.NewStore(-1, nil)
+	off.Attach("k1", body, "d1")
+	if _, ok := off.Get("k1"); ok {
+		t.Fatal("negative budget stored a body")
 	}
-	if ev := nilCache.put("k1", body, "d1"); ev != 0 {
-		t.Fatal("nil cache put evicted")
-	}
-	if e, b := nilCache.stats(); e != 0 || b != 0 {
-		t.Fatalf("nil cache stats = (%d, %d)", e, b)
-	}
-	if newBodyCache(0) != nil || newBodyCache(-1) != nil {
-		t.Fatal("non-positive budget must disable the tier")
+	if st := off.Stats(); st.Bodies != 0 || st.BodyBytes != 0 {
+		t.Fatalf("negative-budget stats = %+v", st)
 	}
 }
 
 // TestBodyCacheBoundedChurn: under sustained churn of distinct keys the
-// cache never exceeds its byte budget, evicts in LRU order, and a get
+// store never exceeds its byte budget, evicts in LRU order, and a get
 // refreshes recency.
 func TestBodyCacheBoundedChurn(t *testing.T) {
 	const budget = 1000
-	c := newBodyCache(budget)
+	c := orchestrate.NewStore(budget, nil)
 	body := make([]byte, 100)
-	evicted := 0
 	for i := 0; i < 500; i++ {
-		evicted += c.put(fmt.Sprintf("k%03d", i), body, "d")
-		if _, size := c.stats(); size > budget {
-			t.Fatalf("after put %d: size %d exceeds budget %d", i, size, budget)
+		c.Attach(fmt.Sprintf("k%03d", i), body, "d")
+		if st := c.Stats(); st.BodyBytes > budget || st.Bytes > budget {
+			t.Fatalf("after put %d: %+v exceeds budget %d", i, st, budget)
 		}
 	}
-	entries, size := c.stats()
-	if entries != 10 || size != 1000 {
-		t.Fatalf("steady state = (%d entries, %d bytes), want (10, 1000)", entries, size)
+	st := c.Stats()
+	if st.Bodies != 10 || st.BodyBytes != 1000 || st.Entries != 10 {
+		t.Fatalf("steady state = %+v, want 10 bodies in 1000 bytes", st)
 	}
-	if evicted != 490 {
-		t.Fatalf("evicted %d entries, want 490", evicted)
+	if st.BodyEvictions != 490 || st.Evictions != 490 {
+		t.Fatalf("evicted %d bodies / %d entries, want 490", st.BodyEvictions, st.Evictions)
 	}
 	// The survivors are the most recent ten.
 	for i := 490; i < 500; i++ {
-		if _, _, ok := c.get(fmt.Sprintf("k%03d", i)); !ok {
+		if _, ok := c.Get(fmt.Sprintf("k%03d", i)); !ok {
 			t.Fatalf("recent key k%03d was evicted", i)
 		}
 	}
 	// Touching the oldest survivor protects it from the next eviction.
-	c.get("k490")
-	c.put("new", body, "d")
-	if _, _, ok := c.get("k490"); !ok {
+	c.Get("k490")
+	c.Attach("new", body, "d")
+	if _, ok := c.Get("k490"); !ok {
 		t.Fatal("freshly touched key was evicted; recency not refreshed")
 	}
-	if _, _, ok := c.get("k491"); ok {
+	if _, ok := c.Get("k491"); ok {
 		t.Fatal("LRU key survived an over-budget put")
 	}
 }
@@ -78,29 +78,30 @@ func TestBodyCacheBoundedChurn(t *testing.T) {
 // TestBodyCacheOversized: a body larger than the whole budget is not
 // stored — it would evict everything to hold one entry.
 func TestBodyCacheOversized(t *testing.T) {
-	c := newBodyCache(64)
-	c.put("small", make([]byte, 10), "d")
-	if ev := c.put("huge", make([]byte, 65), "d"); ev != 0 {
-		t.Fatalf("oversized put evicted %d entries", ev)
+	c := orchestrate.NewStore(64, nil)
+	c.Attach("small", make([]byte, 10), "d")
+	c.Attach("huge", make([]byte, 65), "d")
+	if st := c.Stats(); st.BodyEvictions != 0 {
+		t.Fatalf("oversized put evicted %d entries", st.BodyEvictions)
 	}
-	if _, _, ok := c.get("huge"); ok {
+	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized body was stored")
 	}
-	if _, _, ok := c.get("small"); !ok {
+	if _, ok := c.Get("small"); !ok {
 		t.Fatal("oversized put displaced an existing entry")
 	}
 }
 
-// TestBodyCacheDuplicatePut: re-putting a key refreshes recency without
-// growing the accounted size (content-addressed keys mean same bytes).
+// TestBodyCacheDuplicatePut: re-attaching a key refreshes recency
+// without growing the accounted size (content-addressed keys mean same
+// bytes).
 func TestBodyCacheDuplicatePut(t *testing.T) {
-	c := newBodyCache(1000)
+	c := orchestrate.NewStore(1000, nil)
 	body := make([]byte, 100)
-	c.put("a", body, "d")
-	c.put("b", body, "d")
-	c.put("a", body, "d") // refresh, not re-insert
-	entries, size := c.stats()
-	if entries != 2 || size != 200 {
-		t.Fatalf("after duplicate put: (%d entries, %d bytes), want (2, 200)", entries, size)
+	c.Attach("a", body, "d")
+	c.Attach("b", body, "d")
+	c.Attach("a", body, "d") // refresh, not re-insert
+	if st := c.Stats(); st.Bodies != 2 || st.BodyBytes != 200 {
+		t.Fatalf("after duplicate put: %+v, want 2 bodies in 200 bytes", st)
 	}
 }

@@ -116,7 +116,7 @@ func TestSimGolden(t *testing.T) {
 	}
 	// The job the server built must already be settled under the same
 	// key the orchestrator would compute for it.
-	if _, ok := suite.Cached(resp.Job.Key()); !ok {
+	if _, ok := suite.Store().Get(resp.Job.Key()); !ok {
 		t.Errorf("server job key %s not in the suite cache", resp.Job.Key())
 	}
 	if resp.ID != resp.Job.Key() {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pcstall/internal/dvfs"
 	"pcstall/internal/orchestrate"
 	"pcstall/internal/wire"
 	"pcstall/internal/workload"
@@ -81,14 +80,13 @@ func TestBodyLRUHit(t *testing.T) {
 	}
 }
 
-// TestBodyLRUDisabled: a negative BodyCacheBytes turns the tier off —
-// identical requests still answer byte-identically (singleflight on the
-// settled job), but nothing counts as a body-cache hit.
+// TestBodyLRUDisabled: a negative store budget keeps no bodies (and no
+// record the cold tier can serve) — identical requests still answer
+// byte-identically, re-rendered from the record read back from disk
+// without recomputing, but nothing counts as a body-cache hit.
 func TestBodyLRUDisabled(t *testing.T) {
-	backend := &stubBackend{}
-	s, reg := newTestServer(t, backend, func(c *Config) {
-		c.BodyCacheBytes = -1
-	})
+	backend := &stubBackend{cold: coldCache(t), storeBytes: -1}
+	s, reg := newTestServer(t, backend, nil)
 	first := postSim(t, s.Handler(), simBody(22))
 	second := postSim(t, s.Handler(), simBody(22))
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
@@ -101,8 +99,14 @@ func TestBodyLRUDisabled(t *testing.T) {
 	if got := snap.Counters["serve_body_cache_hits_total"]; got != 0 {
 		t.Errorf("serve_body_cache_hits_total = %d, want 0 when disabled", got)
 	}
-	if got := snap.Counters["serve_singleflight_hits_total"]; got != 1 {
-		t.Errorf("serve_singleflight_hits_total = %d, want 1 (settled job join)", got)
+	if got := snap.Counters["serve_cache_short_circuit_total"]; got != 1 {
+		t.Errorf("serve_cache_short_circuit_total = %d, want 1 (record read back from the cold tier)", got)
+	}
+	if got := atomic.LoadInt32(&backend.simCalls); got != 1 {
+		t.Errorf("RunSim called %d times, want 1", got)
+	}
+	if st := backend.Store().Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("store holds %+v with a negative budget, want nothing", st)
 	}
 }
 
@@ -115,7 +119,7 @@ func TestBodyLRUCachedPromotion(t *testing.T) {
 	j.Design = "PCSTALL"
 	j.Seed = 23
 	j.SimVersion = orchestrate.SimVersion
-	backend := &stubBackend{cached: map[string]*dvfs.Result{j.Key(): {}}}
+	backend := &stubBackend{cold: coldCache(t, j)}
 	s, reg := newTestServer(t, backend, nil)
 
 	first := postSim(t, s.Handler(), simBody(23))
@@ -149,9 +153,7 @@ func TestBodyLRUEvictionBounded(t *testing.T) {
 	}
 	budget := int64(probe.Body.Len()) * 3 / 2 // fits one body, not two
 
-	s, reg := newTestServer(t, &stubBackend{}, func(c *Config) {
-		c.BodyCacheBytes = budget
-	})
+	s, reg := newTestServer(t, &stubBackend{storeBytes: budget}, nil)
 	for _, seed := range []uint64{31, 32, 33} {
 		if w := postSim(t, s.Handler(), simBody(seed)); w.Code != http.StatusOK {
 			t.Fatalf("seed %d: %d: %s", seed, w.Code, w.Body.String())
@@ -347,5 +349,78 @@ func TestSharedLaneLegacy(t *testing.T) {
 	}
 	if len(h.Queues) != 1 || h.Queues["all"].Capacity != 1 {
 		t.Errorf("shared-mode /healthz queues = %+v, want one \"all\" lane with capacity 1", h.Queues)
+	}
+}
+
+// TestPollAfterBodyEviction: the job map keeps no body once a job
+// settles, so a poll (and the SSE done frame) of a settled sim whose
+// body the store dropped re-renders it from the record the cold tier
+// serves back — byte-identical to what a sync request receives.
+func TestPollAfterBodyEviction(t *testing.T) {
+	backend := &stubBackend{cold: coldCache(t), storeBytes: -1}
+	s, _ := newTestServer(t, backend, nil)
+	id := startAsyncJob(t, s, 24)
+	var resp jobResponse
+	waitFor(t, func() bool {
+		pw := httptest.NewRecorder()
+		s.Handler().ServeHTTP(pw, httptest.NewRequest("GET", "/v1/jobs/"+id, nil))
+		return json.Unmarshal(pw.Body.Bytes(), &resp) == nil && resp.Status == statusDone
+	})
+	if st := backend.Store().Stats(); st.Entries != 0 {
+		t.Fatalf("negative budget kept %+v", st)
+	}
+	sync := postSim(t, s.Handler(), simBody(24))
+	if sync.Code != http.StatusOK {
+		t.Fatalf("sync repeat: %d", sync.Code)
+	}
+	var polled bytes.Buffer
+	if err := json.Indent(&polled, resp.Response, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	polled.WriteByte('\n')
+	if !bytes.Equal(polled.Bytes(), sync.Body.Bytes()) {
+		t.Errorf("polled body differs from the sync body:\n%s\nvs\n%s", polled.Bytes(), sync.Body.Bytes())
+	}
+	ew := httptest.NewRecorder()
+	s.Handler().ServeHTTP(ew, httptest.NewRequest("GET", "/v1/jobs/"+id+"/events", nil))
+	if !strings.Contains(ew.Body.String(), "event: done") || !strings.Contains(ew.Body.String(), `"result"`) {
+		t.Errorf("SSE done frame lacks the re-rendered result:\n%s", ew.Body.String())
+	}
+	if got := atomic.LoadInt32(&backend.simCalls); got != 1 {
+		t.Errorf("RunSim called %d times, want 1", got)
+	}
+}
+
+// TestAsyncFigureKeepsBody: the store holds only sim records, so a
+// settled figure's status record keeps its body. With a store that
+// keeps nothing, a poll and the SSE done frame of an async figure still
+// carry the table, and a repeat request is answered from the record.
+func TestAsyncFigureKeepsBody(t *testing.T) {
+	s, reg := newTestServer(t, &stubBackend{storeBytes: -1}, nil)
+	if w := postFigure(t, s.Handler(), "5", true); w.Code != http.StatusAccepted {
+		t.Fatalf("figure admit: status %d", w.Code)
+	}
+	var resp jobResponse
+	waitFor(t, func() bool {
+		pw := httptest.NewRecorder()
+		s.Handler().ServeHTTP(pw, httptest.NewRequest("GET", "/v1/jobs/fig-5", nil))
+		return json.Unmarshal(pw.Body.Bytes(), &resp) == nil && resp.Status == statusDone
+	})
+	var fig figureResponse
+	if err := json.Unmarshal(resp.Response, &fig); err != nil || fig.Table == nil || fig.Figure != "5" {
+		t.Fatalf("polled figure lacks its table (err %v): %s", err, resp.Response)
+	}
+	ew := httptest.NewRecorder()
+	s.Handler().ServeHTTP(ew, httptest.NewRequest("GET", "/v1/jobs/fig-5/events", nil))
+	if !strings.Contains(ew.Body.String(), "event: done") || !strings.Contains(ew.Body.String(), `"table"`) {
+		t.Errorf("SSE done frame lacks the table:\n%s", ew.Body.String())
+	}
+	w := postFigure(t, s.Handler(), "5", false)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "stub 5") {
+		t.Fatalf("repeat figure: status %d\nbody: %s", w.Code, w.Body.String())
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["serve_jobs_total"]; got != 1 {
+		t.Errorf("serve_jobs_total = %d, want 1: the repeat recomputed the figure", got)
 	}
 }

@@ -23,15 +23,19 @@ import (
 
 // stubBackend is a controllable Backend: RunSim counts calls, optionally
 // blocks until released, and reports the contexts it ran under so tests
-// can observe cancellation propagation.
+// can observe cancellation propagation. Its store keeps no records of
+// its own; with a cold cache, RunSim persists there and the store reads
+// records back like the orchestrator's does from a cache dir.
 type stubBackend struct {
-	mu       sync.Mutex
-	simCalls int32
-	failN    int32         // fail the first N RunSim calls with an error
-	block    chan struct{} // non-nil: RunSim waits for close (or ctx)
-	figBlock chan struct{} // non-nil: Figure waits for close (or ctx)
-	ctxErrs  chan error    // non-nil: RunSim reports why it stopped
-	cached   map[string]*dvfs.Result
+	mu         sync.Mutex
+	simCalls   int32
+	failN      int32         // fail the first N RunSim calls with an error
+	block      chan struct{} // non-nil: RunSim waits for close (or ctx)
+	figBlock   chan struct{} // non-nil: Figure waits for close (or ctx)
+	ctxErrs    chan error    // non-nil: RunSim reports why it stopped
+	cold       *orchestrate.Cache
+	storeBytes int64 // the store's budget (0 = default)
+	store      *orchestrate.Store
 }
 
 func (b *stubBackend) RunSim(ctx context.Context, j orchestrate.Job) (*dvfs.Result, error) {
@@ -49,14 +53,39 @@ func (b *stubBackend) RunSim(ctx context.Context, j orchestrate.Job) (*dvfs.Resu
 			return nil, ctx.Err()
 		}
 	}
-	return &dvfs.Result{}, nil
+	res := &dvfs.Result{}
+	if b.cold != nil {
+		if _, err := b.cold.Put(j.Key(), j, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
-func (b *stubBackend) Cached(key string) (*dvfs.Result, bool) {
+func (b *stubBackend) Store() *orchestrate.Store {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.cached[key]
-	return r, ok
+	if b.store == nil {
+		b.store = orchestrate.NewStore(b.storeBytes, b.cold)
+	}
+	return b.store
+}
+
+// coldCache opens a result cache in a fresh directory holding an empty
+// result for each job: settled records the server has never seen.
+func coldCache(t *testing.T, jobs ...orchestrate.Job) *orchestrate.Cache {
+	t.Helper()
+	c, err := orchestrate.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, j := range jobs {
+		if _, err := c.Put(j.Key(), j, &dvfs.Result{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
 }
 
 func (b *stubBackend) Figure(ctx context.Context, id string) (*exp.Table, error) {
@@ -309,7 +338,7 @@ func TestCacheShortCircuit(t *testing.T) {
 	j.Design = "PCSTALL"
 	j.Seed = 9
 	j.SimVersion = orchestrate.SimVersion
-	backend := &stubBackend{cached: map[string]*dvfs.Result{j.Key(): {}}}
+	backend := &stubBackend{cold: coldCache(t, j)}
 	s, reg := newTestServer(t, backend, nil)
 
 	w := postSim(t, s.Handler(), simBody(9))

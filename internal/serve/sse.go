@@ -72,7 +72,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-j.done:
-			writeSSE(w, "done", j.body)
+			body := s.settledBody(j)
+			if body == nil {
+				body = marshalBody(jobResponse{Version: s.ver, ID: j.id, Kind: j.kind, Status: j.status})
+			}
+			writeSSE(w, "done", body)
 			fl.Flush()
 			return
 		case <-t.C:

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 
+	"pcstall/internal/orchestrate"
 	"pcstall/internal/telemetry"
 )
 
@@ -37,6 +39,8 @@ type serveTelemetry struct {
 	bodyEvictions *telemetry.Counter
 	bodyEntries   *telemetry.Gauge
 	bodyBytes     *telemetry.Gauge
+	mu            sync.Mutex
+	bodyEvicted   int64 // store body evictions already counted; guarded by mu
 
 	lanes map[string]*laneMetrics
 
@@ -45,14 +49,11 @@ type serveTelemetry struct {
 	queueWait *telemetry.Histogram
 }
 
-// newServeTelemetry builds the bundle on r (nil r yields nil, making
-// every record a nil check). classes names the admission lanes the
-// server runs ("cold"/"figure", or "all" when figures share the sim
-// lane); each gets its own labelled queue-depth/running/shed series.
-func newServeTelemetry(r *telemetry.Registry, classes []string) *serveTelemetry {
-	if r == nil {
-		return nil
-	}
+// newServeTelemetry builds the bundle on r; with a nil r every metric is
+// nil, and recording into it is a no-op. Each admission lane the server
+// runs ("cold"/"figure", or "all" when figures share the sim lane) gets
+// its own labelled queue-depth/running/shed series.
+func newServeTelemetry(r *telemetry.Registry, lanes []*lane) *serveTelemetry {
 	t := &serveTelemetry{
 		reg:           r,
 		singleflight:  r.Counter("serve_singleflight_hits_total", "requests answered by joining an identical in-flight or settled job"),
@@ -61,15 +62,16 @@ func newServeTelemetry(r *telemetry.Registry, classes []string) *serveTelemetry 
 		jobsTotal:     r.Counter("serve_jobs_total", "jobs admitted to the queue"),
 		jobErrors:     r.Counter("serve_job_errors_total", "admitted jobs that settled with an error"),
 		jobsCanceled:  r.Counter("serve_jobs_cancelled_total", "admitted jobs cancelled before completing (client gone, deadline, drain)"),
-		bodyHits:      r.Counter("serve_body_cache_hits_total", "requests answered from the rendered-body LRU without touching the result cache or re-rendering JSON"),
-		bodyEvictions: r.Counter("serve_body_cache_evictions_total", "rendered bodies evicted from the LRU to hold the byte budget"),
-		bodyEntries:   r.Gauge("serve_body_cache_entries", "rendered bodies currently held by the LRU"),
-		bodyBytes:     r.Gauge("serve_body_cache_bytes", "bytes of rendered bodies currently held by the LRU"),
-		lanes:         make(map[string]*laneMetrics, len(classes)),
+		bodyHits:      r.Counter("serve_body_cache_hits_total", "requests answered with a rendered body from the result store, without re-rendering JSON"),
+		bodyEvictions: r.Counter("serve_body_cache_evictions_total", "rendered bodies evicted from the result store to hold its byte budget"),
+		bodyEntries:   r.Gauge("serve_body_cache_entries", "rendered bodies currently held by the result store"),
+		bodyBytes:     r.Gauge("serve_body_cache_bytes", "bytes of rendered bodies currently held by the result store"),
+		lanes:         make(map[string]*laneMetrics, len(lanes)),
 		draining:      r.Gauge("serve_draining", "1 while the server is draining (new work is rejected)"),
 		queueWait:     r.Phase("serve_time_in_queue"),
 	}
-	for _, class := range classes {
+	for _, ln := range lanes {
+		class := ln.class
 		t.lanes[class] = &laneMetrics{
 			depth:   r.Gauge(fmt.Sprintf("serve_queue_depth{class=%q}", class), "admitted jobs waiting for a worker slot, by admission lane"),
 			running: r.Gauge(fmt.Sprintf("serve_jobs_running{class=%q}", class), "jobs holding a serving worker slot now, by admission lane"),
@@ -79,54 +81,27 @@ func newServeTelemetry(r *telemetry.Registry, classes []string) *serveTelemetry 
 	return t
 }
 
-// lane returns the metric triplet for one lane class (nil-safe).
-func (t *serveTelemetry) lane(class string) *laneMetrics {
-	if t == nil {
-		return nil
-	}
-	return t.lanes[class]
-}
-
-// shedInc counts one shed on the class lane.
-func (t *serveTelemetry) shedInc(class string) {
-	if lm := t.lane(class); lm != nil {
-		lm.shed.Inc()
-	}
-}
-
 // laneGauges publishes one lane's queue shape.
 func (t *serveTelemetry) laneGauges(class string, depth, running int) {
-	if lm := t.lane(class); lm != nil {
-		lm.depth.Set(float64(depth))
-		lm.running.Set(float64(running))
-	}
+	t.lanes[class].depth.Set(float64(depth))
+	t.lanes[class].running.Set(float64(running))
 }
 
-// bodyHitInc counts one hot-tier hit.
-func (t *serveTelemetry) bodyHitInc() {
-	if t != nil {
-		t.bodyHits.Inc()
+// bodyShape publishes the rendered bodies' share of the store, and the
+// body evictions since the last publication.
+func (t *serveTelemetry) bodyShape(st orchestrate.StoreStats) {
+	t.mu.Lock()
+	if d := st.BodyEvictions - t.bodyEvicted; d > 0 {
+		t.bodyEvictions.Add(d)
+		t.bodyEvicted = st.BodyEvictions
 	}
-}
-
-// bodyShape publishes the LRU's size after a put, plus any evictions it
-// caused.
-func (t *serveTelemetry) bodyShape(entries int, bytes int64, evicted int) {
-	if t == nil {
-		return
-	}
-	if evicted > 0 {
-		t.bodyEvictions.Add(int64(evicted))
-	}
-	t.bodyEntries.Set(float64(entries))
-	t.bodyBytes.Set(float64(bytes))
+	t.mu.Unlock()
+	t.bodyEntries.Set(float64(st.Bodies))
+	t.bodyBytes.Set(float64(st.BodyBytes))
 }
 
 // request counts one finished request by endpoint and status code.
 func (t *serveTelemetry) request(endpoint string, code int) {
-	if t == nil {
-		return
-	}
 	t.reg.Counter(
 		fmt.Sprintf("serve_requests_%s_%d_total", endpoint, code),
 		"requests served on the "+endpoint+" endpoint by status code",
@@ -135,8 +110,5 @@ func (t *serveTelemetry) request(endpoint string, code int) {
 
 // handler returns the latency histogram for one endpoint.
 func (t *serveTelemetry) handler(endpoint string) *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
 	return t.reg.Phase("serve_handler_" + endpoint)
 }

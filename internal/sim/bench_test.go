@@ -110,3 +110,27 @@ func BenchmarkEpochHotPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJobSetup measures what one job pays to stand up and tear down
+// its simulator: build a GPU, run a short span, Release it. After one
+// warm-up job the cache tag arrays come from the pools the previous job
+// released into, so B/op is the setup cost a long-running server pays
+// per request; ci.sh gates it.
+func BenchmarkJobSetup(b *testing.B) {
+	cfg := sim.DefaultConfig(4)
+	a := workload.MustBuild("comd", workload.DefaultGenConfig(4))
+	job := func() {
+		g, err := sim.New(cfg, a.Kernels, a.Launches)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.RunUntil(clock.Microsecond)
+		g.Release()
+	}
+	job()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
+	}
+}

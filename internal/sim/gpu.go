@@ -743,8 +743,10 @@ func (g *GPU) CloneInto(dst *GPU) *GPU {
 	return dst
 }
 
-// Release drops the GPU's copy-on-write share of cache tag state. The GPU
-// must not be used afterwards.
+// Release drops the GPU's copy-on-write share of cache tag state; arrays
+// no other GPU shares go back to the pools new caches draw from, so
+// releasing a finished job's GPU lets the next job reuse its tag arrays.
+// The GPU must not be used afterwards.
 func (g *GPU) Release() {
 	for i := range g.CUs {
 		g.CUs[i].L1.Release()

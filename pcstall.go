@@ -264,8 +264,9 @@ type Experiments = exp.Suite
 // simulation runs across a bounded pool (0 = NumCPU, 1 = serial; results
 // are byte-identical at any worker count), CacheDir persists results as
 // JSONL so reruns skip already-computed cells, and NoCache forces
-// recomputation. Call Experiments.Close when done to flush the cache,
-// and Experiments.WriteManifest for the campaign's audit record.
+// recomputation. Call Experiments.WriteManifest for the campaign's audit
+// record, then Experiments.Close to release the cache and the manifest
+// journal.
 type ExperimentsConfig = exp.Config
 
 // NewExperiments builds the harness; zero-value config selects the scaled

@@ -83,6 +83,37 @@ else
 	exit 1
 fi
 
+echo "==> alloc gate (steady-state PCSTALL epoch inside dvfs.Run)"
+# The whole per-epoch path of a PCSTALL run — sample, wavefront
+# estimates, PC-table update and lookup, governor — reuses its buffers.
+# The benchmark subtracts a short run from a long one so per-run setup
+# cancels; a real per-epoch allocation reads as >= 1 allocs/epoch.
+alloc_out=$(go test -run '^$' -bench 'BenchmarkPCStallEpoch' -benchtime 60x ./internal/dvfs/)
+echo "$alloc_out" | grep allocs/epoch || true
+if echo "$alloc_out" | awk '/allocs\/epoch/ { if ($(NF-1) + 0 >= 1) bad = 1; seen = 1 } END { exit bad || !seen }'; then
+	:
+else
+	echo "alloc gate: a PCSTALL epoch allocates (want < 1 allocs/epoch)" >&2
+	exit 1
+fi
+
+echo "==> alloc gate (job setup recycles simulator state)"
+# A job's GPU draws its cache tag arrays from the pools the previous
+# job's released GPU filled, so standing up and tearing down a
+# simulator costs its small per-job structures (~170 KB on the 4-CU
+# platform), not fresh L1/L2 tag arrays (~0.7 MB).
+alloc_out=$(go test -run '^$' -bench 'BenchmarkJobSetup' -benchmem -benchtime 200x ./internal/sim/)
+echo "$alloc_out" | grep B/op || true
+if echo "$alloc_out" | awk '/B\/op/ {
+	for (i = 2; i <= NF; i++) if ($i == "B/op" && $(i-1) + 0 > 262144) bad = 1
+	seen = 1
+} END { exit bad || !seen }'; then
+	:
+else
+	echo "alloc gate: job setup allocates more than 256 KiB (tag arrays not recycled?)" >&2
+	exit 1
+fi
+
 echo "==> fuzz smoke (15s each: program builder, config validator)"
 # Short deterministic-budget fuzz passes; CI catches crashes and invariant
 # violations, the long exploratory runs stay manual.
